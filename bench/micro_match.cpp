@@ -10,13 +10,21 @@
 //   allocs_per_batch        — heap allocations per steady-state probe group
 //                             (counted by this binary's operator new hook;
 //                             anything but 0 fails the run with exit 1)
+//   lookup_ns_exact / lookup_ns_lpm24 / lookup_ns_ternary
+//                           — one table-engine lookup (sim/engine.h) per
+//                             match kind on a warm engine, median of trials:
+//                             64K exact entries (all hits), 24 LPM prefix
+//                             lengths under mostly-miss traffic (as in DASH),
+//                             8 ternary masks
 // Emits BENCH_micro_match.json (pipeleon.bench_report/1).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -242,6 +250,39 @@ double measure_hash_ns(ProbeSet& ps, int rounds, sim::SimdTier tier) {
            (static_cast<double>(rounds) * static_cast<double>(n));
 }
 
+/// Median ns per lookup of `engine` over `keys`, across `trials` timed
+/// passes of `rounds` sweeps each (after one untimed warm-up sweep).
+double measure_engine_ns(const sim::MatchEngine& engine,
+                         const std::vector<sim::KeyVec>& keys, int rounds,
+                         int trials) {
+    std::uint64_t hits = 0;
+    for (const sim::KeyVec& key : keys) hits += engine.lookup(key).has_value();
+    std::vector<double> ns;
+    for (int t = 0; t < trials; ++t) {
+        Clock::time_point t0 = Clock::now();
+        for (int r = 0; r < rounds; ++r) {
+            for (const sim::KeyVec& key : keys) {
+                hits += engine.lookup(key).has_value();
+            }
+        }
+        Clock::time_point t1 = Clock::now();
+        ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                     (static_cast<double>(rounds) *
+                      static_cast<double>(keys.size())));
+    }
+    if (hits == 0xdeadbeef) std::printf("unreachable\n");
+    std::sort(ns.begin(), ns.end());
+    return ns[ns.size() / 2];
+}
+
+/// Builds `table`'s engine over `entries`.
+std::unique_ptr<sim::MatchEngine> built_engine(
+    const ir::Table& table, const std::vector<ir::TableEntry>& entries) {
+    auto engine = sim::make_engine(table);
+    engine->rebuild(table, entries);
+    return engine;
+}
+
 /// The chain program with a flow cache over its first half — the cache node
 /// becomes the program root, so the emulator's batched pipeline engages.
 ir::Program cached_chain() {
@@ -361,6 +402,93 @@ int main() {
         rep.metric(name, s);
         std::snprintf(name, sizeof(name), "probe_ns_batched_hit%d", hit_pct);
         rep.metric(name, b);
+    }
+
+    bench::section("table engine lookup by match kind (ns/lookup, median)");
+    {
+        const int kTrials = quick ? 5 : 9;
+        const std::size_t kProbes = quick ? (1u << 12) : (1u << 14);
+        const int kEngineRounds = quick ? 4 : 16;
+        util::Rng erng(37);
+
+        // Exact: 64K single-field entries (DASH conntrack), all hits.
+        ir::Table exact = ir::TableSpec("exact").key("flow_id").size(65536)
+                              .noop_action("a").build();
+        std::vector<ir::TableEntry> exact_entries;
+        for (std::uint64_t k = 0; k < 65536; ++k) {
+            ir::TableEntry e;
+            e.key = {ir::FieldMatch::exact(k * 0x9e3779b1u & 0xFFFFFFFFu)};
+            exact_entries.push_back(e);
+        }
+        std::vector<sim::KeyVec> exact_keys;
+        for (std::size_t i = 0; i < kProbes; ++i) {
+            exact_keys.push_back(
+                {exact_entries[erng.next_below(65536)].key[0].value});
+        }
+
+        // LPM: 40 routes at each prefix length 8..31, uniform 32-bit keys:
+        // nearly every packet misses every one of the 24 groups.
+        ir::Table lpm = ir::TableSpec("lpm").key("dst", ir::MatchKind::Lpm)
+                            .noop_action("a").build();
+        std::vector<ir::TableEntry> lpm_entries;
+        for (int len = 8; len < 32; ++len) {
+            for (int r = 0; r < 40; ++r) {
+                ir::TableEntry e;
+                e.key = {ir::FieldMatch::lpm(erng.next_u64() & 0xFFFFFFFFu, len)};
+                lpm_entries.push_back(e);
+            }
+        }
+        std::vector<sim::KeyVec> lpm_keys;
+        for (std::size_t i = 0; i < kProbes; ++i) {
+            lpm_keys.push_back({erng.next_u64() & 0xFFFFFFFFu});
+        }
+
+        // Ternary: two 16-bit fields, 8 mask combinations x 32 entries.
+        ir::Table tern = ir::TableSpec("tern")
+                             .key("a", ir::MatchKind::Ternary, 16)
+                             .key("b", ir::MatchKind::Ternary, 16)
+                             .noop_action("a").build();
+        std::vector<ir::TableEntry> tern_entries;
+        for (int m = 0; m < 8; ++m) {
+            const std::uint64_t mask_a = (0xFFFFull << (2 * m)) & 0xFFFF;
+            const std::uint64_t mask_b = m % 2 == 0 ? 0xFFFF : 0xFF00;
+            for (int r = 0; r < 32; ++r) {
+                ir::TableEntry e;
+                e.key = {ir::FieldMatch::ternary(erng.next_below(65536) & mask_a,
+                                                 mask_a),
+                         ir::FieldMatch::ternary(erng.next_below(65536) & mask_b,
+                                                 mask_b)};
+                e.priority = m;
+                tern_entries.push_back(e);
+            }
+        }
+        std::vector<sim::KeyVec> tern_keys;
+        for (std::size_t i = 0; i < kProbes; ++i) {
+            // Half the keys copy an entry's values (hits), half are random.
+            if (i % 2 == 0) {
+                const ir::TableEntry& e = tern_entries[erng.next_below(
+                    tern_entries.size())];
+                tern_keys.push_back({e.key[0].value, e.key[1].value});
+            } else {
+                tern_keys.push_back({erng.next_below(65536),
+                                     erng.next_below(65536)});
+            }
+        }
+
+        const double ns_exact = measure_engine_ns(
+            *built_engine(exact, exact_entries), exact_keys, kEngineRounds,
+            kTrials);
+        const double ns_lpm = measure_engine_ns(
+            *built_engine(lpm, lpm_entries), lpm_keys, kEngineRounds, kTrials);
+        const double ns_tern = measure_engine_ns(
+            *built_engine(tern, tern_entries), tern_keys, kEngineRounds,
+            kTrials);
+        std::printf("%12s %12s %12s\n", "exact(64K)", "lpm(24 len)",
+                    "ternary(8)");
+        std::printf("%12.2f %12.2f %12.2f\n", ns_exact, ns_lpm, ns_tern);
+        rep.metric("lookup_ns_exact", ns_exact);
+        rep.metric("lookup_ns_lpm24", ns_lpm);
+        rep.metric("lookup_ns_ternary", ns_tern);
     }
 
     bench::section("emulator end-to-end (match pipeline on vs off)");

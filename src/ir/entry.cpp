@@ -174,18 +174,16 @@ int distinct_prefix_lengths(const std::vector<TableEntry>& entries) {
 
 int distinct_masks(const std::vector<TableEntry>& entries) {
     std::set<std::vector<std::uint64_t>> masks;
+    std::vector<std::uint64_t> combo;
     for (const TableEntry& e : entries) {
-        std::vector<std::uint64_t> combo;
         bool any = false;
+        for (const FieldMatch& m : e.key) any |= m.kind == MatchKind::Ternary;
+        if (!any) continue;  // only ternary entries have a mask combination
+        combo.clear();
         for (const FieldMatch& m : e.key) {
-            if (m.kind == MatchKind::Ternary) {
-                combo.push_back(m.mask);
-                any = true;
-            } else {
-                combo.push_back(~0ULL);
-            }
+            combo.push_back(m.kind == MatchKind::Ternary ? m.mask : ~0ULL);
         }
-        if (any) masks.insert(std::move(combo));
+        if (masks.find(combo) == masks.end()) masks.insert(combo);
     }
     return static_cast<int>(masks.size());
 }

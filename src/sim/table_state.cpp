@@ -6,12 +6,18 @@ namespace pipeleon::sim {
 
 TableState::TableState(const ir::Table& table)
     : table_(table), engine_(make_engine(table)) {
+    rebuild();
+}
+
+void TableState::rebuild() {
     engine_->rebuild(table_, entries_);
+    lpm_prefixes_ = ir::distinct_prefix_lengths(entries_);
+    ternary_masks_ = ir::distinct_masks(entries_);
 }
 
 void TableState::set_entries(std::vector<ir::TableEntry> entries) {
     entries_ = std::move(entries);
-    engine_->rebuild(table_, entries_);
+    rebuild();
     ++updates_;
 }
 
@@ -19,7 +25,7 @@ bool TableState::insert(const ir::TableEntry& entry) {
     if (!entry.compatible_with(table_)) return false;
     if (entries_.size() >= table_.size) return false;
     entries_.push_back(entry);
-    engine_->rebuild(table_, entries_);
+    rebuild();
     ++updates_;
     return true;
 }
@@ -28,7 +34,7 @@ bool TableState::erase(const std::vector<ir::FieldMatch>& key) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->key == key) {
             entries_.erase(it);
-            engine_->rebuild(table_, entries_);
+            rebuild();
             ++updates_;
             return true;
         }
@@ -40,19 +46,13 @@ bool TableState::modify(const ir::TableEntry& entry) {
     for (ir::TableEntry& e : entries_) {
         if (e.key == entry.key) {
             e = entry;
-            engine_->rebuild(table_, entries_);
+            rebuild();
             ++updates_;
             return true;
         }
     }
     return false;
 }
-
-int TableState::lpm_prefix_count() const {
-    return ir::distinct_prefix_lengths(entries_);
-}
-
-int TableState::ternary_mask_count() const { return ir::distinct_masks(entries_); }
 
 CacheStore::CacheStore(const ir::CacheConfig& config)
     : config_(config), tokens_(config.max_insert_per_sec) {}

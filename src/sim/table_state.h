@@ -41,15 +41,20 @@ public:
     void reset_update_count() { updates_ = 0; }
 
     /// Distinct prefix lengths / masks among live entries (cost-model m
-    /// inputs exported to the profiler).
-    int lpm_prefix_count() const;
-    int ternary_mask_count() const;
+    /// inputs exported to the profiler), counted when the entries change.
+    int lpm_prefix_count() const { return lpm_prefixes_; }
+    int ternary_mask_count() const { return ternary_masks_; }
 
 private:
+    /// Rebuilds the engine and the distinct counts from `entries_`.
+    void rebuild();
+
     ir::Table table_;
     std::vector<ir::TableEntry> entries_;
     std::unique_ptr<MatchEngine> engine_;
     std::uint64_t updates_ = 0;
+    int lpm_prefixes_ = 0;
+    int ternary_masks_ = 0;
 };
 
 /// One recorded covered-table outcome inside a cache entry.

@@ -284,15 +284,26 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     // Enqueue from the control thread while batches run. Every call must
     // return (possibly with the optimistic deferred result) — a single
     // blocked enqueue would hang the loop and the test would time out.
+    // t0 holds 1024 entries; churn keys stay at most 512 live (the oldest
+    // is deleted once 512 are), so no insert can meet a full table however
+    // long it takes to race a batch.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    constexpr std::uint64_t kMaxLive = 512;
     std::uint64_t inserted = 0;
-    std::uint64_t key = 1u << 20;
+    std::uint64_t deleted = 0;
+    const std::uint64_t first_key = 1u << 20;
+    std::uint64_t key = first_key;
     bool observed_in_flight = false;
     while (std::chrono::steady_clock::now() < deadline) {
         if (emu.batch_in_flight()) observed_in_flight = true;
         ASSERT_TRUE(emu.insert_entry("t0", exact_entry(key++, 0)));
         ++inserted;
+        if (inserted - deleted > kMaxLive) {
+            ASSERT_TRUE(emu.delete_entry(
+                "t0", {FieldMatch::exact(first_key + deleted)}));
+            ++deleted;
+        }
         if (inserted % 256 == 0) {
             emu.invalidate_caches_covering("t1");  // returns -1 when deferred
         }
@@ -306,7 +317,7 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     EXPECT_EQ(stats.queue_depth, 0u);
     EXPECT_EQ(emu.control_pending(), 0u);
     EXPECT_EQ(stats.ops_drained, stats.ops_submitted);  // nothing lost
-    EXPECT_EQ(emu.entry_count("t0"), base_entries + inserted);
+    EXPECT_EQ(emu.entry_count("t0"), base_entries + inserted - deleted);
 
     if (!observed_in_flight || stats.ops_deferred == 0) {
         GTEST_SKIP() << "never raced a batch in flight on this host "

@@ -9,6 +9,7 @@
 // This binary owns the override, so it must not be linked into other tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -273,6 +274,148 @@ TEST(HotPathAlloc, RingOfferPollLoopMakesZeroAllocations) {
     EXPECT_EQ(completed, 2560u);
     EXPECT_EQ(out.workers_used, 4);
     EXPECT_EQ(out.ring_dropped, 0u);
+}
+
+/// Offers and polls 24 warm-up rounds of 256 packets through fresh rings,
+/// then counts the heap allocations of 10 more rounds. Checks that every
+/// counted packet completed without a ring drop.
+std::uint64_t ring_loop_allocations(Emulator& emu, trafficgen::Workload& wl) {
+    RingConfig cfg;
+    cfg.rx_capacity = 512;
+    RssDispatcher io = emu.make_rings(cfg);
+    trafficgen::OfferedLoad src(wl, /*pps=*/1.0);
+    BatchResult out;
+    for (int i = 0; i < 24; ++i) {
+        src.offer(io, emu.fields(), 256, emu.now_seconds());
+        emu.poll(io, out);
+    }
+    g_alloc_count.store(0);
+    g_counting.store(true);
+    std::size_t completed = 0;
+    std::uint64_t dropped = 0;
+    for (int i = 0; i < 10; ++i) {
+        src.offer(io, emu.fields(), 256, emu.now_seconds());
+        emu.poll(io, out);
+        completed += out.results.size();
+        dropped += out.ring_dropped;
+    }
+    g_counting.store(false);
+    EXPECT_EQ(completed, 2560u);
+    EXPECT_EQ(dropped, 0u);
+    return g_alloc_count.load();
+}
+
+/// True when the named table both hit an entry and missed during the run
+/// so far: the engine genuinely ran both probe outcomes.
+bool table_hit_and_missed(const Emulator& emu, const char* table) {
+    const profile::RawCounters c = emu.read_counters();
+    const auto node = static_cast<std::size_t>(emu.program().find_table(table));
+    std::uint64_t hits = 0;
+    for (std::uint64_t h : c.action_hits[node]) hits += h;
+    return hits > 0 && c.misses[node] > 0;
+}
+
+trafficgen::FlowSet four_field_flows(std::uint64_t seed) {
+    util::Rng rng(seed);
+    return trafficgen::FlowSet::generate(
+        {{"f0", 0, 65535}, {"f1", 0, 65535}, {"f2", 0, 65535}, {"f3", 0, 65535}},
+        kFlows, rng);
+}
+
+/// The ring loop over the DASH program: its routing table is an LPM table
+/// with 24 prefix lengths, probed longest-first on every packet (mostly
+/// missing, as in DASH), after the exact metadata, conntrack and ACL tables.
+TEST(HotPathAlloc, LpmProgramRingLoopMakesZeroAllocations) {
+    Emulator emu(bluefield2_model(), apps::dash_routing_program(), {});
+    emu.set_worker_count(2);
+    util::Rng rng(8);
+    constexpr std::uint64_t kWide = 0xFFFFFFFFu;
+    trafficgen::FlowSet flows = trafficgen::FlowSet::generate(
+        {{"direction", 0, 1}, {"appliance_key", 0, 3}, {"eni_mac", 0, 63},
+         {"vni_key", 0, 3}, {"flow_id", 0, kWide}, {"src_ip", 0, kWide},
+         {"dst_ip", 0, kWide}, {"dst_port", 0, 65535}, {"ipv4_dst", 0, kWide}},
+        kFlows, rng);
+    apps::install_flow_entries(emu, flows);
+    for (int len = 8; len < 32; ++len) {
+        for (int r = 0; r < 4; ++r) {
+            ir::TableEntry e;
+            e.key = {ir::FieldMatch::lpm(rng.next_u64() & kWide, len)};
+            e.action_data = {static_cast<std::uint64_t>(len)};
+            ASSERT_TRUE(emu.insert_entry("routing", e));
+        }
+    }
+    // A /24 for every fourth flow, so routing hits as well as misses.
+    for (std::size_t f = 0; f < flows.size(); f += 4) {
+        ir::TableEntry e;
+        e.key = {ir::FieldMatch::lpm(flows.value(f, "ipv4_dst") & ~0xFFull, 24)};
+        e.action_data = {24};
+        ASSERT_TRUE(emu.insert_entry("routing", e));
+    }
+    trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 9);
+
+    EXPECT_EQ(ring_loop_allocations(emu, wl), 0u)
+        << "LPM (DASH routing) ring loop allocated in steady state";
+    EXPECT_TRUE(table_hit_and_missed(emu, "routing"));
+}
+
+/// The ring loop over four ternary tables, each with entries under five
+/// masks and mixed priorities.
+TEST(HotPathAlloc, TernaryProgramRingLoopMakesZeroAllocations) {
+    Emulator emu(bluefield2_model(),
+                 apps::four_table_pipelet(ir::MatchKind::Ternary), {});
+    emu.set_worker_count(2);
+    trafficgen::FlowSet flows = four_field_flows(10);
+    util::Rng rng(11);
+    const std::uint64_t masks[] = {0xFFFF, 0xFF00, 0xF0F0, 0x00FF, 0x0000};
+    for (int t = 1; t <= 4; ++t) {
+        char table[8];
+        char field[8];
+        std::snprintf(table, sizeof(table), "t%d", t);
+        std::snprintf(field, sizeof(field), "f%d", t - 1);
+        for (std::size_t f = 0; f < flows.size(); f += 2) {
+            const std::uint64_t mask = masks[(f / 2) % 5];
+            if (mask == 0 && f > 0) continue;  // one catch-all per table
+            ir::TableEntry e;
+            e.key = {ir::FieldMatch::ternary(flows.value(f, field) & mask, mask)};
+            e.action_index = static_cast<int>(rng.next_below(2));
+            e.priority = static_cast<int>(rng.next_below(3));
+            ASSERT_TRUE(emu.insert_entry(table, e));
+        }
+    }
+    trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 12);
+
+    EXPECT_EQ(ring_loop_allocations(emu, wl), 0u)
+        << "ternary ring loop allocated in steady state";
+    const profile::RawCounters c = emu.read_counters();
+    const auto node = static_cast<std::size_t>(emu.program().find_table("t1"));
+    EXPECT_GT(c.action_hits[node][0] + c.action_hits[node][1], 0u);
+}
+
+/// The ring loop over four range tables (the linear-scan group).
+TEST(HotPathAlloc, RangeProgramRingLoopMakesZeroAllocations) {
+    Emulator emu(bluefield2_model(),
+                 apps::four_table_pipelet(ir::MatchKind::Range), {});
+    emu.set_worker_count(2);
+    trafficgen::FlowSet flows = four_field_flows(13);
+    util::Rng rng(14);
+    for (int t = 1; t <= 4; ++t) {
+        char table[8];
+        std::snprintf(table, sizeof(table), "t%d", t);
+        for (int r = 0; r < 24; ++r) {
+            const std::uint64_t lo = rng.next_below(65536);
+            ir::TableEntry e;
+            e.key = {ir::FieldMatch::range(lo, std::min<std::uint64_t>(
+                                                    65535, lo + 2048))};
+            e.action_index = static_cast<int>(rng.next_below(2));
+            e.priority = static_cast<int>(rng.next_below(3));
+            ASSERT_TRUE(emu.insert_entry(table, e));
+        }
+    }
+    trafficgen::Workload wl(flows, trafficgen::Locality::Zipf, 1.1, 15);
+
+    EXPECT_EQ(ring_loop_allocations(emu, wl), 0u)
+        << "range ring loop allocated in steady state";
+    EXPECT_TRUE(table_hit_and_missed(emu, "t1"));
 }
 
 /// Same criterion through the hierarchical store (ISSUE 9): a steady-state

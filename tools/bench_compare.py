@@ -57,6 +57,7 @@ PER_BENCH_METRICS: dict[str, dict[str, str]] = {
     },
     "micro_match": {
         "probe_ns_per_key": "lower",
+        "lookup_ns_lpm24": "lower",
     },
 }
 
