@@ -37,18 +37,27 @@ bool intersects(const std::set<std::string>& a, const std::set<std::string>& b) 
     return false;
 }
 
+/// The classification of classify_dependency over precomputed footprints.
+DependencyKind classify(const FieldSets& earlier,
+                        const std::set<std::string>& later_keys,
+                        const FieldSets& later) {
+    if (intersects(earlier.writes, later_keys)) return DependencyKind::Match;
+    if (intersects(earlier.writes, later.reads)) return DependencyKind::Action;
+    if (intersects(earlier.writes, later.writes)) return DependencyKind::Write;
+    return DependencyKind::None;
+}
+
+std::set<std::string> key_fields(const ir::Table& table) {
+    std::set<std::string> keys;
+    for (const ir::MatchKey& k : table.keys) keys.insert(k.field);
+    return keys;
+}
+
 }  // namespace
 
 DependencyKind classify_dependency(const ir::Table& earlier,
                                    const ir::Table& later) {
-    FieldSets e = field_sets(earlier);
-    FieldSets l = field_sets(later);
-    std::set<std::string> later_keys;
-    for (const ir::MatchKey& k : later.keys) later_keys.insert(k.field);
-    if (intersects(e.writes, later_keys)) return DependencyKind::Match;
-    if (intersects(e.writes, l.reads)) return DependencyKind::Action;
-    if (intersects(e.writes, l.writes)) return DependencyKind::Write;
-    return DependencyKind::None;
+    return classify(field_sets(earlier), key_fields(later), field_sets(later));
 }
 
 bool independent(const ir::Table& a, const ir::Table& b) {
@@ -57,19 +66,21 @@ bool independent(const ir::Table& a, const ir::Table& b) {
 }
 
 DependencyGraph::DependencyGraph(const std::vector<ir::Table>& tables)
-    : n_(tables.size()), dep_(tables.size() * tables.size(), false) {
+    : n_(tables.size()),
+      kind_(tables.size() * tables.size(), DependencyKind::None) {
+    std::vector<FieldSets> sets;
+    std::vector<std::set<std::string>> keys;
+    sets.reserve(n_);
+    keys.reserve(n_);
+    for (const ir::Table& t : tables) {
+        sets.push_back(field_sets(t));
+        keys.push_back(key_fields(t));
+    }
     for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = i + 1; j < n_; ++j) {
-            bool d = !independent(tables[i], tables[j]);
-            dep_[i * n_ + j] = d;
-            dep_[j * n_ + i] = d;
+        for (std::size_t j = 0; j < n_; ++j) {
+            if (i != j) kind_[i * n_ + j] = classify(sets[i], keys[j], sets[j]);
         }
     }
-}
-
-bool DependencyGraph::dependent(std::size_t i, std::size_t j) const {
-    if (i >= n_ || j >= n_ || i == j) return false;
-    return dep_at(i, j);
 }
 
 bool DependencyGraph::order_is_valid(const std::vector<std::size_t>& order) const {
@@ -78,7 +89,9 @@ bool DependencyGraph::order_is_valid(const std::vector<std::size_t>& order) cons
         for (std::size_t y = x + 1; y < order.size(); ++y) {
             // Dependent pairs must keep their original relative order:
             // original position numbers are the dependency direction.
-            if (dep_at(order[x], order[y]) && order[x] > order[y]) return false;
+            if (order[x] > order[y] && dependent(order[x], order[y])) {
+                return false;
+            }
         }
     }
     return true;
@@ -95,8 +108,8 @@ bool DependencyGraph::can_group(const std::vector<std::size_t>& positions) const
         bool before = false;  // some group member a < k depends into k
         bool after = false;   // some group member b > k depends from k
         for (std::size_t p : positions) {
-            if (p < k && dep_at(p, k)) before = true;
-            if (p > k && dep_at(k, p)) after = true;
+            if (p < k && dependent(p, k)) before = true;
+            if (p > k && dependent(k, p)) after = true;
         }
         if (before && after) return false;
     }
@@ -113,7 +126,7 @@ std::vector<std::vector<std::size_t>> DependencyGraph::valid_orders(
     // when every unplaced q with dep(q -> p) (q < p) has been placed.
     auto may_place = [&](std::size_t p) {
         for (std::size_t q = 0; q < p; ++q) {
-            if (!used[q] && dep_at(q, p)) return false;
+            if (!used[q] && dependent(q, p)) return false;
         }
         return true;
     };

@@ -47,14 +47,34 @@ bool independent(const ir::Table& a, const ir::Table& b);
 
 /// Pairwise dependency structure over an ordered table sequence (a pipelet).
 /// Index i refers to the i-th table of the sequence given at construction.
+/// Footprints are computed once per table and every ordered pair's
+/// `DependencyKind` is stored, so queries never touch field names again: the
+/// search asks them for thousands of candidate layouts per pipelet.
 class DependencyGraph {
 public:
     explicit DependencyGraph(const std::vector<ir::Table>& tables);
 
     std::size_t size() const { return n_; }
 
+    /// classify_dependency(tables[earlier], tables[later]): the dependency
+    /// the table at `later` would have on the one at `earlier` if it ran
+    /// after it (either original order). None for i == j or out of range.
+    DependencyKind kind(std::size_t earlier, std::size_t later) const {
+        if (earlier >= n_ || later >= n_) return DependencyKind::None;
+        return kind_[earlier * n_ + later];
+    }
+
     /// True when tables at positions i and j (any order) are dependent.
-    bool dependent(std::size_t i, std::size_t j) const;
+    bool dependent(std::size_t i, std::size_t j) const {
+        return kind(i, j) != DependencyKind::None ||
+               kind(j, i) != DependencyKind::None;
+    }
+
+    /// True when the table at `earlier` writes a field the table at `later`
+    /// matches on (what forbids one flow cache covering both).
+    bool match_dependent(std::size_t earlier, std::size_t later) const {
+        return kind(earlier, later) == DependencyKind::Match;
+    }
 
     /// True when the permutation `order` (a sequence of positions) preserves
     /// the relative order of every dependent pair.
@@ -71,9 +91,7 @@ public:
 
 private:
     std::size_t n_;
-    std::vector<bool> dep_;  // n*n symmetric matrix
-
-    bool dep_at(std::size_t i, std::size_t j) const { return dep_[i * n_ + j]; }
+    std::vector<DependencyKind> kind_;  // n*n, [earlier * n + later]
 };
 
 }  // namespace pipeleon::analysis

@@ -600,18 +600,20 @@ DiagnosticList Verifier::check_translation(
         }
 
         // Reorder legality: every dependent pair keeps its original relative
-        // order (Match/Action/Write, analysis/dependency.h).
-        DependencyGraph deps(tables);
+        // order (Match/Action/Write, analysis/dependency.h). Classified from
+        // the tables' field names here, not from the optimizer's
+        // DependencyGraph, so a fault there cannot vouch for itself.
         for (std::size_t x = 0; x < n; ++x) {
             for (std::size_t y = x + 1; y < n; ++y) {
                 std::size_t i = layout.order[x];
                 std::size_t j = layout.order[y];
-                if (i <= j || !deps.dependent(i, j)) continue;
+                if (i <= j) continue;
                 // Original order was j before i; the plan swaps them.
                 DependencyKind kind = classify_dependency(tables[j], tables[i]);
                 if (kind == DependencyKind::None) {
                     kind = classify_dependency(tables[i], tables[j]);
                 }
+                if (kind == DependencyKind::None) continue;
                 d.error("plan.reorder.dependency", pipelet.nodes[j],
                         util::format(
                             "plan for pipelet %d reorders '%s' after '%s' "

@@ -13,12 +13,23 @@ bool CandidateLayout::is_identity() const {
 }
 
 bool CandidateLayout::segments_valid(std::size_t n) const {
-    std::vector<Segment> all = caches;
-    for (const MergeSpec& m : merges) all.push_back(m.seg);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (all[i].first > all[i].last || all[i].last >= n) return false;
-        for (std::size_t j = i + 1; j < all.size(); ++j) {
-            if (all[i].overlaps(all[j])) return false;
+    // Pairwise checks in place: the search calls this once per candidate.
+    auto in_range = [n](const Segment& s) {
+        return s.first <= s.last && s.last < n;
+    };
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+        if (!in_range(caches[i])) return false;
+        for (std::size_t j = i + 1; j < caches.size(); ++j) {
+            if (caches[i].overlaps(caches[j])) return false;
+        }
+        for (const MergeSpec& m : merges) {
+            if (caches[i].overlaps(m.seg)) return false;
+        }
+    }
+    for (std::size_t i = 0; i < merges.size(); ++i) {
+        if (!in_range(merges[i].seg)) return false;
+        for (std::size_t j = i + 1; j < merges.size(); ++j) {
+            if (merges[i].seg.overlaps(merges[j].seg)) return false;
         }
     }
     return true;

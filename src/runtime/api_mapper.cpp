@@ -18,7 +18,7 @@ ApiMapper::ApiMapper(const ir::Program& original) : original_(original) {
         if (n.is_table()) {
             tables_.emplace(n.table.name, n.table);
             store_.emplace(n.table.name, std::vector<TableEntry>{});
-            window_updates_.emplace(n.table.name, 0);
+            stats_.emplace(n.table.name, StoreStats{});
         }
     }
 }
@@ -28,7 +28,6 @@ bool ApiMapper::insert(sim::Emulator& emulator, const std::string& table,
     auto it = tables_.find(table);
     if (it == tables_.end() || !entry.compatible_with(it->second)) return false;
     store_[table].push_back(entry);
-    ++window_updates_[table];
     propagate(emulator, table);
     return true;
 }
@@ -42,7 +41,6 @@ bool ApiMapper::erase(sim::Emulator& emulator, const std::string& table,
                             [&key](const TableEntry& e) { return e.key == key; });
     if (pos == entries.end()) return false;
     entries.erase(pos);
-    ++window_updates_[table];
     propagate(emulator, table);
     return true;
 }
@@ -54,7 +52,6 @@ bool ApiMapper::modify(sim::Emulator& emulator, const std::string& table,
     for (TableEntry& e : it->second) {
         if (e.key == entry.key) {
             e = entry;
-            ++window_updates_[table];
             propagate(emulator, table);
             return true;
         }
@@ -107,6 +104,10 @@ bool rebuild_merged(
 }  // namespace
 
 void ApiMapper::propagate(sim::Emulator& emulator, const std::string& table) {
+    StoreStats& stats = stats_[table];
+    ++stats.window_updates;
+    stats.stale = true;
+
     const ir::Program& deployed = emulator.program();
     for (const Node& n : deployed.nodes()) {
         if (!n.is_table()) continue;
@@ -194,23 +195,27 @@ std::vector<ir::EntryLoad> ApiMapper::remapped_entries(
     return loads;
 }
 
-std::unordered_map<std::string, profile::EntrySnapshot> ApiMapper::snapshots()
-    const {
+std::unordered_map<std::string, profile::EntrySnapshot> ApiMapper::snapshots() {
     std::unordered_map<std::string, profile::EntrySnapshot> out;
     for (const auto& [name, entries] : store_) {
+        StoreStats& stats = stats_[name];
+        if (stats.stale) {
+            stats.lpm_prefixes = ir::distinct_prefix_lengths(entries);
+            stats.ternary_masks = ir::distinct_masks(entries);
+            stats.stale = false;
+        }
         profile::EntrySnapshot snap;
         snap.entry_count = entries.size();
-        auto u = window_updates_.find(name);
-        snap.entry_updates = u == window_updates_.end() ? 0 : u->second;
-        snap.lpm_prefix_count = ir::distinct_prefix_lengths(entries);
-        snap.ternary_mask_count = ir::distinct_masks(entries);
+        snap.entry_updates = stats.window_updates;
+        snap.lpm_prefix_count = stats.lpm_prefixes;
+        snap.ternary_mask_count = stats.ternary_masks;
         out.emplace(name, snap);
     }
     return out;
 }
 
 void ApiMapper::begin_window() {
-    for (auto& [name, count] : window_updates_) count = 0;
+    for (auto& [name, stats] : stats_) stats.window_updates = 0;
 }
 
 }  // namespace pipeleon::runtime

@@ -65,16 +65,27 @@ public:
 
     /// Per-original-table entry snapshots for the current window (counts,
     /// update totals, prefix/mask diversity). Merged-away tables are
-    /// included — the emulator cannot know them.
-    std::unordered_map<std::string, profile::EntrySnapshot> snapshots() const;
+    /// included — the emulator cannot know them. Prefix/mask diversity is
+    /// cached per table and recounted only for tables updated since the
+    /// previous call, so a tick does not rescan unchanged stores.
+    std::unordered_map<std::string, profile::EntrySnapshot> snapshots();
 
     /// Zeroes the window update counters.
     void begin_window();
 
 private:
-    /// Re-pushes the original table's state into every deployed table that
+    /// Records an update of the original table (window count, stale
+    /// diversity), re-pushes its state into every deployed table that
     /// implements it and invalidates covering caches.
     void propagate(sim::Emulator& emulator, const std::string& table);
+
+    /// Per-original-table bookkeeping behind snapshots().
+    struct StoreStats {
+        std::uint64_t window_updates = 0;
+        int lpm_prefixes = 0;   ///< ir::distinct_prefix_lengths of the store
+        int ternary_masks = 0;  ///< ir::distinct_masks of the store
+        bool stale = false;     ///< store changed since the counts were taken
+    };
 
     // Hashed by table name, matching the FieldTable interning pattern: the
     // propagate path runs on every control-plane call and should not pay
@@ -82,7 +93,7 @@ private:
     ir::Program original_;
     std::unordered_map<std::string, ir::Table> tables_;
     std::unordered_map<std::string, std::vector<ir::TableEntry>> store_;
-    std::unordered_map<std::string, std::uint64_t> window_updates_;
+    std::unordered_map<std::string, StoreStats> stats_;
 };
 
 }  // namespace pipeleon::runtime

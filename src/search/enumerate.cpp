@@ -44,7 +44,7 @@ std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
     auto consider = [&]() {
         if (out.size() >= options.max_candidates) return;
         if (layout.is_identity()) return;
-        opt::EvalResult eval = evaluator.evaluate(layout);
+        opt::EvalResult eval = evaluator.evaluate_in_valid_order(layout);
         if (!eval.valid) return;
         double latency_gain = baseline - eval.latency;
         if (latency_gain < options.min_latency_gain) return;
@@ -89,6 +89,9 @@ std::vector<Candidate> enumerate_candidates(const PipeletEvaluator& evaluator,
     };
 
     for (const auto& order : orders) {
+        // Order legality is a property of the order alone: checked here once,
+        // not again for each of its segment labelings.
+        if (!evaluator.deps().order_is_valid(order)) continue;
         layout.order = order;
         label(0);
         if (out.size() >= options.max_candidates) break;

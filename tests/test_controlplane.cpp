@@ -294,9 +294,7 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     std::uint64_t deleted = 0;
     const std::uint64_t first_key = 1u << 20;
     std::uint64_t key = first_key;
-    bool observed_in_flight = false;
     while (std::chrono::steady_clock::now() < deadline) {
-        if (emu.batch_in_flight()) observed_in_flight = true;
         ASSERT_TRUE(emu.insert_entry("t0", exact_entry(key++, 0)));
         ++inserted;
         if (inserted - deleted > kMaxLive) {
@@ -319,7 +317,11 @@ TEST(ControlQueue, StressEnqueuesDoNotBlockOnInFlightBatch) {
     EXPECT_EQ(stats.ops_drained, stats.ops_submitted);  // nothing lost
     EXPECT_EQ(emu.entry_count("t0"), base_entries + inserted - deleted);
 
-    if (!observed_in_flight || stats.ops_deferred == 0) {
+    // This thread is the only control caller, so an op defers only when a
+    // batch held the control lock: ops_deferred alone says whether the race
+    // happened (sampling batch_in_flight() between inserts missed most of
+    // the batches the ops raced).
+    if (stats.ops_deferred == 0) {
         GTEST_SKIP() << "never raced a batch in flight on this host "
                         "(single-CPU scheduling); functional checks passed";
     }

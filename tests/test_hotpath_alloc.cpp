@@ -20,7 +20,9 @@
 
 #include "analysis/pipelet.h"
 #include "apps/scenarios.h"
+#include "cost/model.h"
 #include "ir/builder.h"
+#include "opt/estimate.h"
 #include "opt/transform.h"
 #include "sim/emulator.h"
 #include "sim/nic_model.h"
@@ -495,6 +497,66 @@ TEST(HotPathAlloc, TieredStoreLookupBatchMakesZeroAllocations) {
     EXPECT_EQ(after.lookups,
               after.sram_hits + after.dram_hits + after.host_hits +
                   after.misses);
+}
+
+/// The search evaluates thousands of layouts per re-optimization tick; each
+/// evaluation reads precomputed per-table facts and the dependency matrix
+/// and must not touch the heap, for every kind of layout it prices.
+TEST(HotPathAlloc, PipeletEvaluateMakesZeroAllocations) {
+    ir::Program prog = ir::chain_of_exact_tables("p", 4, 2, 1);
+    profile::RuntimeProfile prof;
+    prof.reset_for(prog, 1.0);
+    for (const ir::Node& n : prog.nodes()) {
+        profile::TableStats& st = prof.table(n.id);
+        st.action_hits = {900, 100};
+        st.entry_count = 64;
+        st.entry_updates = 5;
+    }
+    cost::CostModel model(bluefield2_model().costs, {});
+    analysis::Pipelet pipelet = analysis::form_pipelets(prog).at(0);
+    opt::PipeletEvaluator ev(prog, pipelet, prof, model);
+
+    auto layout = [](std::vector<std::size_t> order) {
+        opt::CandidateLayout l;
+        l.order = std::move(order);
+        return l;
+    };
+    std::vector<opt::CandidateLayout> layouts;
+    layouts.push_back(layout({3, 0, 1, 2}));  // reorder only
+    layouts.push_back(layout({0, 1, 2, 3}));
+    layouts.back().caches = {opt::Segment{0, 2}};  // cache segment
+    layouts.push_back(layout({1, 0, 2, 3}));
+    layouts.back().merges = {opt::MergeSpec{opt::Segment{0, 1}, false}};  // full
+    layouts.push_back(layout({0, 1, 3, 2}));
+    layouts.back().caches = {opt::Segment{0, 1}};
+    layouts.back().merges = {opt::MergeSpec{opt::Segment{2, 3}, true}};  // as cache
+
+    std::vector<opt::EvalResult> expected;
+    for (const opt::CandidateLayout& l : layouts) {
+        expected.push_back(ev.evaluate(l));
+        ASSERT_TRUE(expected.back().valid) << l.to_string();
+    }
+
+    std::vector<opt::EvalResult> got(layouts.size() * 2);
+    g_alloc_count.store(0);
+    g_counting.store(true);
+    for (int round = 0; round < 100; ++round) {
+        for (std::size_t i = 0; i < layouts.size(); ++i) {
+            got[2 * i] = ev.evaluate(layouts[i]);
+            got[2 * i + 1] = ev.evaluate_in_valid_order(layouts[i]);
+        }
+    }
+    g_counting.store(false);
+
+    EXPECT_EQ(g_alloc_count.load(), 0u) << "PipeletEvaluator::evaluate allocated";
+    for (std::size_t i = 0; i < layouts.size(); ++i) {
+        for (std::size_t k : {2 * i, 2 * i + 1}) {
+            EXPECT_TRUE(got[k].valid);
+            EXPECT_EQ(got[k].latency, expected[i].latency);
+            EXPECT_EQ(got[k].extra_memory, expected[i].extra_memory);
+            EXPECT_EQ(got[k].extra_updates, expected[i].extra_updates);
+        }
+    }
 }
 
 }  // namespace

@@ -77,6 +77,79 @@ TEST(ApiMapper, SnapshotsTrackWindows) {
     EXPECT_EQ(api.snapshots().at("A").entry_count, 2u);
 }
 
+/// The cached prefix/mask diversity must track every entry operation: after
+/// each insert, erase and modify the snapshot equals a fresh count over the
+/// store — including erasing the last entry of a prefix length or a mask.
+TEST(ApiMapper, SnapshotDiversityTracksEveryUpdate) {
+    ProgramBuilder b("diversity");
+    b.append(TableSpec("L").key("dst", MatchKind::Lpm).noop_action("l1")
+                 .noop_action("l2").build());
+    b.append(TableSpec("T").key("src", MatchKind::Ternary).noop_action("t1")
+                 .noop_action("t2").build());
+    Program p = b.build();
+    sim::Emulator emu(nic(), p, {});
+    ApiMapper api(p);
+
+    auto entry = [](FieldMatch m, int action) {
+        TableEntry e;
+        e.key = {m};
+        e.action_index = action;
+        return e;
+    };
+    // Expected counts are spelled out too, so a stale cache that happened to
+    // agree with a wrong recount could not pass.
+    auto expect_counts = [&](const std::string& step, int prefixes, int masks) {
+        auto snaps = api.snapshots();
+        for (const char* t : {"L", "T"}) {
+            EXPECT_EQ(snaps.at(t).lpm_prefix_count,
+                      ir::distinct_prefix_lengths(api.entries(t)))
+                << step << " table " << t;
+            EXPECT_EQ(snaps.at(t).ternary_mask_count,
+                      ir::distinct_masks(api.entries(t)))
+                << step << " table " << t;
+        }
+        EXPECT_EQ(snaps.at("L").lpm_prefix_count, prefixes) << step;
+        EXPECT_EQ(snaps.at("T").ternary_mask_count, masks) << step;
+    };
+
+    expect_counts("empty", 0, 0);
+    ASSERT_TRUE(api.insert(emu, "L", entry(FieldMatch::lpm(0x0A000000, 8), 0)));
+    expect_counts("insert /8", 1, 0);
+    ASSERT_TRUE(api.insert(emu, "L", entry(FieldMatch::lpm(0x0A010000, 16), 0)));
+    expect_counts("insert /16", 2, 0);
+    ASSERT_TRUE(api.insert(emu, "L", entry(FieldMatch::lpm(0x0A020000, 16), 1)));
+    expect_counts("insert second /16", 2, 0);
+    ASSERT_TRUE(api.insert(emu, "T", entry(FieldMatch::ternary(0x1200, 0xFF00), 0)));
+    expect_counts("insert mask ff00", 2, 1);
+    ASSERT_TRUE(api.insert(emu, "T", entry(FieldMatch::ternary(0x0034, 0x00FF), 0)));
+    expect_counts("insert mask 00ff", 2, 2);
+    ASSERT_TRUE(api.insert(emu, "T", entry(FieldMatch::ternary(0x5600, 0xFF00), 1)));
+    expect_counts("insert second ff00", 2, 2);
+
+    ASSERT_TRUE(api.modify(emu, "L", entry(FieldMatch::lpm(0x0A010000, 16), 1)));
+    expect_counts("modify /16", 2, 2);
+    ASSERT_TRUE(api.modify(emu, "T", entry(FieldMatch::ternary(0x0034, 0x00FF), 1)));
+    expect_counts("modify 00ff", 2, 2);
+
+    ASSERT_TRUE(api.erase(emu, "L", {FieldMatch::lpm(0x0A010000, 16)}));
+    expect_counts("erase one /16", 2, 2);
+    ASSERT_TRUE(api.erase(emu, "L", {FieldMatch::lpm(0x0A020000, 16)}));
+    expect_counts("erase last /16", 1, 2);
+    ASSERT_TRUE(api.erase(emu, "T", {FieldMatch::ternary(0x0034, 0x00FF)}));
+    expect_counts("erase last 00ff", 1, 1);
+    ASSERT_TRUE(api.erase(emu, "T", {FieldMatch::ternary(0x1200, 0xFF00)}));
+    expect_counts("erase one ff00", 1, 1);
+
+    // Several updates between two snapshots.
+    ASSERT_TRUE(api.erase(emu, "T", {FieldMatch::ternary(0x5600, 0xFF00)}));
+    ASSERT_TRUE(api.insert(emu, "L", entry(FieldMatch::lpm(0x0A000100, 24), 0)));
+    ASSERT_TRUE(api.erase(emu, "L", {FieldMatch::lpm(0x0A000000, 8)}));
+    expect_counts("batched updates", 1, 0);
+    // A rejected update changes nothing.
+    EXPECT_FALSE(api.erase(emu, "L", {FieldMatch::lpm(0x0A000000, 8)}));
+    expect_counts("failed erase", 1, 0);
+}
+
 TEST(ApiMapper, MergedTableRebuiltOnInsert) {
     Program original = two_tables();
     auto pipelets = analysis::form_pipelets(original);
